@@ -1,7 +1,8 @@
 (* fib at the assembly level: the paper's Appendix-B program with an
    explicit call stack, promotion-ready marks, prmsplit promotion of
    the oldest frame, and joink continuations — traced step by step —
-   next to the same recursion under the effects runtime.
+   next to the same recursion under the real heartbeat runtime
+   (Par.Runtime at one domain).
 
    Run with:  dune exec examples/fib_tpal.exe *)
 
@@ -44,25 +45,23 @@ let () =
   in
   print_endline (Tpal.Trace.to_string around_promotion);
 
-  (* 4. The same recursion under the real effects runtime. *)
+  (* 4. The same recursion under the real heartbeat runtime. *)
   let rec fib n =
     if n < 2 then n
     else begin
       let x = ref 0 and y = ref 0 in
-      Heartbeat.Hb_runtime.fork2
+      Par.Runtime.fork2
         (fun () -> x := fib (n - 1))
         (fun () -> y := fib (n - 2));
       !x + !y
     end
   in
   let f, st =
-    Heartbeat.Hb_runtime.run
+    Par.Runtime.run
       ~config:
-        { Heartbeat.Hb_runtime.default_config with
-          heart_us = 50.;
-          source = `Polling }
+        { Par.Runtime.default_config with heart_us = 50.; source = `Polling }
       (fun () -> fib 30)
   in
   Fmt.pr
-    "@.fib(30) effects runtime: %d | beats=%d promotions=%d joins=%d@." f
-    st.beats st.promotions st.joins
+    "@.fib(30) heartbeat runtime: %d | beats=%d promotions=%d joins=%d@." f
+    st.total.beats st.total.promotions st.total.joins

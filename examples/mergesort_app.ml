@@ -4,11 +4,6 @@
 
    Run with:  dune exec examples/mergesort_app.exe *)
 
-module Hb : Workloads.Exec.S = struct
-  let par_for = Heartbeat.Hb_runtime.par_for
-  let fork2 = Heartbeat.Hb_runtime.fork2
-end
-
 let () =
   let rng = Sim.Prng.create ~seed:99 in
   let n = 1_000_000 in
@@ -21,20 +16,22 @@ let () =
       let reference = Array.copy input in
       Workloads.Mergesort.sort (module Workloads.Exec.Serial) reference;
       let (), st =
-        Heartbeat.Hb_runtime.run
+        Par.Runtime.run
           ~config:
-            { Heartbeat.Hb_runtime.default_config with
+            { Par.Runtime.default_config with
               heart_us = 100.;
-              source = `Ping_thread }
-          (fun () -> Workloads.Mergesort.sort ~grain:4096 (module Hb) a)
+              source = `Ping_domain }
+          (fun () ->
+            Workloads.Mergesort.sort ~grain:4096 (module Par.Runtime.Exec) a)
       in
       Printf.printf
         "%-12s %d ints: sorted=%b matches-serial=%b | beats=%d promotions=%d \
-         (branch=%d loop=%d) joins=%d peak-queue=%d\n%!"
+         (branch=%d loop=%d) joins=%d peak-deque=%d\n%!"
         name n
         (Workloads.Mergesort.sorted a)
-        (a = reference) st.beats st.promotions st.branch_promotions
-        st.loop_promotions st.joins st.max_queue)
+        (a = reference) st.total.beats st.total.promotions
+        st.total.branch_promotions st.total.loop_promotions st.total.joins
+        st.total.max_deque)
     [ ("uniform", uniform); ("exponential", expo) ];
 
   (* Figure 7 shape for mergesort on the simulated testbed: both

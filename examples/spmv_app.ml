@@ -2,18 +2,13 @@
    paper's showcase of irregular nested parallelism.
 
    Three views of the same computation:
-   1. the real kernel under the effects-based heartbeat runtime
+   1. the real kernel under the heartbeat runtime at one domain
       (actual promotions on a real power-law CSR matrix);
    2. correctness against the serial kernel;
    3. the simulated 15-core testbed: Cilk's eager decomposition vs
       TPAL's heartbeat, reproducing the Figure 7 shape.
 
    Run with:  dune exec examples/spmv_app.exe *)
-
-module Hb : Workloads.Exec.S = struct
-  let par_for = Heartbeat.Hb_runtime.par_for
-  let fork2 = Heartbeat.Hb_runtime.fork2
-end
 
 let () =
   let rng = Sim.Prng.create ~seed:2024 in
@@ -36,29 +31,31 @@ let () =
   (* Real heartbeat runtime: rows are a promotable parallel loop, long
      rows a promotable nested reduction.  The on_event hook watches the
      scheduler live — the same event stream Sim_trace records for the
-     simulator. *)
+     simulator.  With one domain every event fires on the calling
+     domain, so plain refs suffice. *)
   let y = Array.make n 0. in
   let ev_beats = ref 0
   and ev_loop = ref 0
   and ev_branch = ref 0
   and ev_suspends = ref 0
   and ev_tasks = ref 0 in
-  let on_event : Heartbeat.Hb_runtime.event -> unit = function
-    | Heartbeat.Hb_runtime.Beat -> incr ev_beats
+  let on_event ~worker:_ : Par.Runtime.event -> unit = function
+    | Par.Runtime.Beat -> incr ev_beats
     | Promoted `Loop -> incr ev_loop
     | Promoted `Branch -> incr ev_branch
     | Join_suspend -> incr ev_suspends
     | Task_start -> incr ev_tasks
-    | Join_resume | Task_finish | Stall_detected _ -> ()
+    | _ -> ()
   in
-  let (), st =
-    Heartbeat.Hb_runtime.run
+  let (), { Par.Runtime.total = st; _ } =
+    Par.Runtime.run
       ~config:
-        { Heartbeat.Hb_runtime.default_config with
+        { Par.Runtime.default_config with
           heart_us = 100.;
           source = `Polling;
           on_event = Some on_event }
-      (fun () -> Workloads.Csr.spmv ~row_grain:1024 (module Hb) m x y)
+      (fun () ->
+        Workloads.Csr.spmv ~row_grain:1024 (module Par.Runtime.Exec) m x y)
   in
   let ok =
     Array.for_all2
@@ -70,11 +67,11 @@ let () =
      (loops=%d, branches=%d) joins=%d\n"
     ok st.beats st.promotions st.loop_promotions st.branch_promotions st.joins;
   Printf.printf
-    "event hook agrees: beats=%b promotions=%b suspends=%b | promoted tasks \
+    "event hook agrees: beats=%b promotions=%b suspends=%b tasks=%b | tasks \
      executed=%d\n"
     (!ev_beats = st.beats)
     (!ev_loop = st.loop_promotions && !ev_branch = st.branch_promotions)
-    (!ev_suspends = st.joins) !ev_tasks;
+    (!ev_suspends = st.joins) (!ev_tasks = st.tasks_run) !ev_tasks;
 
   (* Simulated testbed, Figure 7 shape. *)
   let w = Option.get (Workloads.Workload.find "spmv-powerlaw") in

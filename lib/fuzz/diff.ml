@@ -32,14 +32,13 @@
       bound at the {e surviving} core count with an allowance for the
       lease-detection latency of each recovery, and repeated runs are
       bit-identical (seed determinism of the recovery machinery).
-    - {b hb-*}: the program executed on the real heartbeat runtime
-      (OCaml effects, wall-clock beats) matches the reference
-      outputs.
-    - {b par-*}: the program executed on the multi-domain runtime
-      ({!Par_exec}) at each configured domain count matches the
-      reference outputs — forks really run concurrently here, so this
-      oracle is the battery's only check of cross-domain promotion,
-      stealing, and join resolution. *)
+    - {b par-*}: the program executed on the real heartbeat runtime
+      ({!Par.Tpal_exec} on {!Par.Runtime}: OCaml effects, wall-clock
+      beats) at each configured domain count matches the reference
+      outputs.  At 1 domain this is the single-core scheduler; above
+      it forks really run concurrently, so this oracle is the
+      battery's only check of cross-domain promotion, stealing, and
+      join resolution. *)
 
 open Tpal
 
@@ -53,9 +52,8 @@ type cfg = {
       (** run the crash/stall/slow-core schedule battery (the recovery
           layer's oracle); off by default — it roughly doubles the
           simulator share of the battery *)
-  hb : bool;
   par : int list;
-      (** domain counts for the multi-domain runtime oracle; [[]]
+      (** domain counts for the real heartbeat-runtime oracle; [[]]
           switches it off *)
   chaos_par : bool;
       (** run the {e real} runtime under a seeded {!Par.Chaos} fault
@@ -72,7 +70,6 @@ let default_cfg =
     mechs = [ Sim.Interrupts.Ping_thread; Papi; Nautilus_ipi ];
     faults = true;
     chaos = false;
-    hb = true;
     par = [ 1; 2; 4 ];
     chaos_par = false;
   }
@@ -284,6 +281,27 @@ let check_chaos ~(params : Sim.Params.t) ~(mech : Sim.Interrupts.mech)
           List.rev !ds)
 
 (* ------------------------------------------------------------------ *)
+(* The real heartbeat runtime. *)
+
+(** [par_run ~options ~domains p] interprets [p] inside one
+    {!Par.Runtime.run} session, optionally under a seeded
+    {!Par.Chaos.plan}.  The [`Polling] beat source spawns no ping
+    domain: batteries run thousands of short sessions, and a 1-domain
+    session then spawns no domain at all.  A chaos [Raise] fault
+    escapes as {!Par.Chaos.Injected}. *)
+let par_run ?chaos ?(heart_us = 50.) ~(options : Eval.options)
+    ~(domains : int) (p : Ast.program) : (Task.t, Machine_error.t) result =
+  let config =
+    { Par.Runtime.default_config with
+      domains; heart_us; source = `Polling; poll_stride = 1; chaos }
+  in
+  match
+    Par.Runtime.run ~config (fun () -> Par.Tpal_exec.interpret ~options p)
+  with
+  | task, _ -> Ok task
+  | exception Par.Tpal_exec.Stuck e -> Error e
+
+(* ------------------------------------------------------------------ *)
 (* Chaos on the real runtime: a seeded Par.Chaos fault plan against the
    multi-domain executor, with the sequential evaluator as reference. *)
 
@@ -307,9 +325,9 @@ let check_chaos_par ~(seed : int) ~(domains : int list)
       match
         (* a short beat period so the plan's beat-indexed faults
            actually land inside these tiny generated programs *)
-        Par_exec.run ~options ~domains:d ~heart_us:20. ~chaos:plan prog
+        par_run ~options ~domains:d ~heart_us:20. ~chaos:plan prog
       with
-      | Ok (task, _stats) ->
+      | Ok task ->
           compare_outputs ~oracle:"chaos-par-outputs"
             ~what:(Fmt.str "chaos par domains=%d seed=%d" d seed)
             expected
@@ -491,22 +509,14 @@ let check ?(cfg = default_cfg) ?(seed = 0) (prog : Ast.program)
                 in
                 add (check_chaos ~params ~mech lw.ir ~work ~span)
               end);
-          (* --- the real heartbeat runtime --- *)
-          (if cfg.hb then
-             match Hb_exec.run ~options:(with_heart 17) prog with
-             | Error e -> add [ div "hb-stuck" "%a" Machine_error.pp e ]
-             | Ok (task, _stats) ->
-                 add
-                   (compare_outputs ~oracle:"hb-outputs" ~what:"hb runtime"
-                      expected (snapshot outputs task.regs)));
-          (* --- the multi-domain runtime, per domain count --- *)
+          (* --- the real heartbeat runtime, per domain count --- *)
           List.iter
             (fun domains ->
-              match Par_exec.run ~options:(with_heart 17) ~domains prog with
+              match par_run ~options:(with_heart 17) ~domains prog with
               | Error e ->
                   add [ div "par-stuck" "domains=%d: %a" domains
                           Machine_error.pp e ]
-              | Ok (task, _stats) ->
+              | Ok task ->
                   add
                     (compare_outputs ~oracle:"par-outputs"
                        ~what:(Fmt.str "par runtime domains=%d" domains)

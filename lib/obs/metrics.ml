@@ -3,8 +3,9 @@
     watch (steal-failure rate, promotions per beat, idle share).
 
     The record is plain data — {!Par.Runtime.metrics} fills it from a
-    session's stats, the serve pool from its own counters — so this
-    module stays dependency-free below [par]/[serve]. *)
+    session's stats, and the serve pool's [metrics] lays its retry,
+    restart and stall counters over that — so this module stays
+    dependency-free below [par]/[serve]. *)
 
 type t = {
   domains : int;

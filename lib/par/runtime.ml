@@ -1,7 +1,8 @@
 (** A real multi-domain heartbeat runtime on OCaml 5: the paper's §3
     runtime executed on hardware parallelism rather than on the
-    abstract machine, the discrete-event simulator, or the
-    single-domain effects runtime ({!Heartbeat.Hb_runtime}).
+    abstract machine or the discrete-event simulator.  With
+    [domains = 1] it is the paper's one-core run: the same scheduler
+    with a single worker.
 
     One {e worker domain} per configured core, each owning a
     thread-safe Chase–Lev deque ({!Ws_deque}); a dedicated {e ping
@@ -40,17 +41,17 @@
       [waiter := No_waiter] when its suspension returns, at which
       point no task of the join is live.
 
-    Promotion-ready marks, the mark-list discipline and the
-    outermost-first policy are exactly {!Heartbeat.Hb_runtime}'s.  The
-    mark list is part of the computation (the ref travels with a
-    suspended continuation and is re-installed on the resuming
-    worker), and is only ever touched by the domain currently running
-    that computation — so it needs no synchronisation, but it does
-    mean {e no scheduler state may be cached across a call into user
-    code}: any nested [par_for]/[fork2] may suspend, migrate the
-    computation to another domain, and return there.  Every operation
-    below therefore re-reads the worker context from domain-local
-    storage after potential suspension points. *)
+    Promotion-ready marks follow the paper's mark-list discipline
+    (§B.2: one entry per live [fork2]/[par_for] frame) and its
+    outermost-first promotion policy.  The mark list is part of the
+    computation (the ref travels with a suspended continuation and is
+    re-installed on the resuming worker), and is only ever touched by
+    the domain currently running that computation — so it needs no
+    synchronisation, but it does mean {e no scheduler state may be
+    cached across a call into user code}: any nested [par_for]/[fork2]
+    may suspend, migrate the computation to another domain, and return
+    there.  Every operation below therefore re-reads the worker context
+    from domain-local storage after potential suspension points. *)
 
 type join = {
   pending : int Atomic.t;
@@ -217,7 +218,9 @@ type pool = {
   cfg : config;
   heart_ns : int;  (** [cfg.heart_us] in integer nanoseconds, for the
                        [`Polling] fast path *)
-  t0_ns : int;  (** monotonic session start, for {!live_stats} *)
+  t0_ns : int;
+      (** monotonic session start: the origin of [elapsed_s] in both
+          {!live_stats} and the stats {!run} returns *)
   workers : worker array;
   stop : bool Atomic.t;  (** main completed, or a task raised *)
   ping_stop : bool Atomic.t;
@@ -239,8 +242,8 @@ type pool = {
 
 type ctx = { pool : pool; worker : worker }
 
-(** A scheduler-invariant violation (same classification as the
-    single-domain runtime's). *)
+(** A scheduler-invariant violation, carrying the classified machine
+    fault (the runtime's states map onto the abstract machine's). *)
 exception Machine_fault of Tpal.Machine_error.t
 
 type worker_stats = {
@@ -262,7 +265,7 @@ type worker_stats = {
 
 type stats = {
   domains : int;
-  elapsed_s : float;  (** wall-clock of the whole session *)
+  elapsed_s : float;  (** monotonic ({!Mclock}) duration of the session *)
   total : worker_stats;  (** sums over workers; [max_deque] is a max *)
   per_worker : worker_stats array;
 }
@@ -954,6 +957,9 @@ let sum_stats (per : worker_stats array) : worker_stats =
       })
     zero_stats per
 
+let session_elapsed_s (pool : pool) : float =
+  float_of_int (Mclock.now_ns () - pool.t0_ns) *. 1e-9
+
 (** [live_stats ()]: a racy-but-safe snapshot of the running session's
     per-worker counters, from inside {!run} (any worker domain, or
     user code).  Counters are plain owner-written ints, so a reader on
@@ -966,13 +972,16 @@ let live_stats () : stats =
   let per_worker = Array.map worker_stats pool.workers in
   {
     domains = Array.length pool.workers;
-    elapsed_s = float_of_int (Mclock.now_ns () - pool.t0_ns) *. 1e-9;
+    elapsed_s = session_elapsed_s pool;
     total = sum_stats per_worker;
     per_worker;
   }
 
 (** [metrics ?tracer st]: fold a session's stats (and its trace rings,
-    when it had a tracer) into the unified {!Obs.Metrics} snapshot. *)
+    when it had a tracer) into the unified {!Obs.Metrics} snapshot.
+    [retries], [restarts] and [stalls] are serving-layer counters a
+    session cannot see: 0 here, filled in by the serve pool's own
+    [metrics]. *)
 let metrics ?(tracer : Obs.Trace.t option) (st : stats) : Obs.Metrics.t =
   {
     Obs.Metrics.domains = st.domains;
@@ -1055,7 +1064,6 @@ let run ?(config = default_config) (main : unit -> 'a) : 'a * stats =
         }
       in
       let result = ref None in
-      let t0 = Unix.gettimeofday () in
       (* main is an ordinary task on worker 0's deque; its completion
          implies every fork has joined, so no task can outlive it *)
       Ws_deque.push_bottom pool.workers.(0).deque
@@ -1092,7 +1100,7 @@ let run ?(config = default_config) (main : unit -> 'a) : 'a * stats =
       run_worker pool 0;
       Array.iter Domain.join others;
       stop_ping ();
-      let elapsed_s = Unix.gettimeofday () -. t0 in
+      let elapsed_s = session_elapsed_s pool in
       (match Atomic.get pool.error with Some e -> raise e | None -> ());
       let per_worker = Array.map worker_stats pool.workers in
       let st =

@@ -36,7 +36,7 @@ type work =
   | Kernel of { bench : Workloads.Real_bench.t; scale : int }
       (** a registry kernel; outcome is its checksum *)
   | Tpal of { prog : Tpal.Ast.program; options : Tpal.Eval.options }
-      (** a TPAL program through the {!Fuzz.Tpal_drive} interpreter,
+      (** a TPAL program through the {!Par.Tpal_exec} interpreter,
           forking on this pool's scheduler *)
   | Thunk of ((module Workloads.Exec.S) -> int)
       (** any checksum-returning computation against the session's
@@ -252,6 +252,21 @@ let stats_locked (t : t) : stats =
       |> List.sort (fun (a, _) (b, _) -> compare a b);
   }
 
+(** [metrics ?tracer st]: the pool's {!Obs.Metrics} snapshot — the
+    session's counters ({!Par.Runtime.metrics}, zero before [close])
+    with the pool's own retry, restart and lease-stall counters laid
+    over the fields the runtime cannot see. *)
+let metrics ?(tracer : Obs.Trace.t option) (st : stats) : Obs.Metrics.t =
+  let rt =
+    match st.runtime with
+    | Some rt -> Par.Runtime.metrics ?tracer rt
+    | None -> Obs.Metrics.zero
+  in
+  { rt with
+    retries = st.retried;
+    restarts = st.restarts;
+    stalls = st.stalls_detected }
+
 let stats (t : t) : stats =
   Mutex.lock t.m;
   let s = stats_locked t in
@@ -319,9 +334,9 @@ let exec (w : work) : outcome =
   | Thunk f -> Checksum (f (module Par.Runtime.Exec))
   | Tpal { prog; options } ->
       Tpal_result
-        (match Fuzz.Par_exec.Drive.interpret ~options prog with
+        (match Par.Tpal_exec.interpret ~options prog with
         | task -> Ok task
-        | exception Fuzz.Tpal_drive.Stuck e -> Error e)
+        | exception Par.Tpal_exec.Stuck e -> Error e)
 
 (* The session's main task.  Every Sched call happens under the mutex;
    the request body runs outside it (it is the long part, and awaiting

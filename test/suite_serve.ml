@@ -281,7 +281,7 @@ let test_pool_kernel () =
 let test_serve_exec_oracle () =
   for seed = 1 to 5 do
     let g = Fuzz.Gen.generate ~seed in
-    match Serve.Serve_exec.check ~domains:[ 1; 2 ] g.prog ~outputs:g.outputs
+    match Fuzz.Serve_exec.check ~domains:[ 1; 2 ] g.prog ~outputs:g.outputs
     with
     | [] -> ()
     | ds ->
@@ -560,7 +560,19 @@ let test_watchdog_degradation () =
   | Error _ -> Alcotest.fail "recovered pool still shedding");
   let st = Serve.Pool.close pool in
   check "stall stayed on the books" true (st.stalls_detected >= 1);
-  check "not degraded at close" false st.degraded
+  check "not degraded at close" false st.degraded;
+  (* the watchdog's trips reach the unified Obs.Metrics snapshot next
+     to the session's own counters *)
+  let m = Serve.Pool.metrics st in
+  let rt = Option.get st.runtime in
+  check_int "stalls fold into Obs.Metrics" st.stalls_detected
+    m.Obs.Metrics.stalls;
+  check_int "retries fold" st.retried m.Obs.Metrics.retries;
+  check_int "restarts fold" st.restarts m.Obs.Metrics.restarts;
+  check_int "beats fold" rt.total.beats m.Obs.Metrics.beats;
+  check_int "promotions fold" rt.total.promotions m.Obs.Metrics.promotions;
+  check_int "joins fold" rt.total.joins m.Obs.Metrics.joins;
+  check_int "single-domain snapshot" 1 m.Obs.Metrics.domains
 
 (* ------------------------------------------------------------------ *)
 (* Cancellation, retry and warm-restart: the chaos-hardening PR's

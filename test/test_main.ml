@@ -19,8 +19,8 @@ let () =
       Suite_engine.suite;
       Suite_faults.suite;
       Suite_workloads.suite;
-      Suite_heartbeat.suite;
       Suite_par.suite;
+      Suite_par.one_domain_suite;
       Suite_chaos.suite;
       Suite_fuzz.suite;
       Suite_serve.suite;
