@@ -186,19 +186,7 @@ let time_median ~(repeat : int) (f : unit -> 'a) : float * 'a =
   in
   median_by fst samples
 
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Stats.Chrome_trace.escape
 
 (* ---- trajectory JSON ----------------------------------------------
    BENCH_par.json is an accumulating trajectory: one run object per
@@ -326,26 +314,26 @@ let prior_runs (path : string) : string option =
                    (extract_int content "scale" ~default:1)
                    results)))
 
-let write_par_json ~(path : string) ~(label : string) ~(scale : int)
-    ~(beat_source : string) ~(append : bool) (rows : par_row list) : unit =
+(* Rewrite [path] as a [suite] trajectory ending in [entry]; with
+   [append], the file's prior runs stay in front of it. *)
+let write_trajectory ~(suite : string) ~(path : string) ~(append : bool)
+    (entry : string) : unit =
   let prior = if append then prior_runs path else None in
   let entries =
-    match prior with
-    | None -> run_json ~label ~scale ~beat_source rows
-    | Some old -> old ^ ",\n" ^ run_json ~label ~scale ~beat_source rows
+    match prior with None -> entry | Some old -> old ^ ",\n" ^ entry
   in
   let oc = open_out path in
   Printf.fprintf oc
     "{\n\
-    \  \"suite\": \"par_bench\",\n\
+    \  \"suite\": \"%s\",\n\
     \  \"trajectory\": [\n\
     \    %s\n\
     \  ]\n\
      }\n"
-    (String.trim entries);
+    suite (String.trim entries);
   close_out oc;
-  Printf.printf "wrote %s (%d rows%s)\n%!" path (List.length rows)
-    (if prior <> None then ", appended to prior trajectory" else "")
+  Printf.printf "wrote %s%s\n%!" path
+    (if prior <> None then " (appended to prior trajectory)" else "")
 
 let geomean (xs : float list) : float =
   match xs with
@@ -507,15 +495,13 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
            (fun acc (_, tr) -> acc + Obs.Trace.total_dropped tr)
            0 !traces));
   let rows = List.rev !rows in
+  let write path =
+    write_trajectory ~suite:"par_bench" ~path ~append
+      (run_json ~label ~scale ~beat_source:source_name rows)
+  in
   (match json with
-  | None -> (
-      match Sys.getenv_opt "BENCH_JSON" with
-      | None -> ()
-      | Some path ->
-          write_par_json ~path ~label ~scale ~beat_source:source_name ~append
-            rows)
-  | Some path ->
-      write_par_json ~path ~label ~scale ~beat_source:source_name ~append rows);
+  | None -> Option.iter write (Sys.getenv_opt "BENCH_JSON")
+  | Some path -> write path);
   match assert_geomean with
   | None -> ()
   | Some floor ->
@@ -543,143 +529,107 @@ let run_par_bench ~(domains : int list) ~(scale : int) ~(json : string option)
       end
 
 (* ------------------------------------------------------------------ *)
-(* The serving pipeline: seeded open-loop load against the multi-tenant
-   execution pool, recording the latency/goodput trajectory as JSON
-   (BENCH_serve.json; same accumulating shape as BENCH_par.json, so
-   [prior_runs] reuses the textual appender). *)
+(* The serving pipeline: seeded load against the multi-tenant execution
+   pool, in process or over a loopback socket, recording the
+   latency/goodput trajectory as JSON (BENCH_serve.json; same
+   accumulating shape as BENCH_par.json, so [prior_runs] reuses the
+   textual appender).  Both write their rows through [serve_row_json]
+   and gate on the same [Serve.Load.audit_ok]. *)
 
-let serve_run_json ~(label : string) ~(chaos_seed : int option)
-    ~(retries : int) (r : Serve.Load.report) : string =
-  let spec = r.spec in
-  let latency_per_tenant =
-    String.concat ", "
-      (List.map
-         (fun (tenant, s) ->
-           Printf.sprintf "\"%s\": %s" (json_escape tenant)
-             (Obs.Hist.summary_json s))
-         r.latency_per_tenant)
-  in
+(* [pacing] is the row's driver-specific header field: the in-process
+   arrival rate, or the net run's topology *)
+let serve_row_json ~(label : string) ~(chaos_seed : int option)
+    ~(retries : int) ~(pacing : string) (r : Serve.Load.report) : string =
   Printf.sprintf
     "    {\n\
     \      \"label\": \"%s\",\n\
     \      \"host_cores\": %d,\n\
     \      \"requests\": %d,\n\
     \      \"tenants\": %d,\n\
-    \      \"rate_rps\": %.0f,\n\
     \      \"seed\": %d,\n\
     \      \"slo_ms\": %.3f,\n\
     \      \"chaos_seed\": %s,\n\
     \      \"retry_budget\": %d,\n\
+    \      %s,\n\
     \      \"results\": [\n\
-    \        {\"offered\": %d, \"admitted\": %d, \"rejected_full\": %d, \
-     \"rejected_shed\": %d, \"completed\": %d, \"failed\": %d, \
-     \"cancelled\": %d, \"retried\": %d, \"restarts\": %d, \"lost\": %d, \
-     \"duplicated\": %d, \"mismatched\": %d, \"met\": %d, \"missed\": %d, \
-     \"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, \"mean_ms\": \
-     %.4f, \"goodput_rps\": %.1f, \"throughput_rps\": %.1f, \
-     \"reject_rate\": %.4f, \"elapsed_s\": \
-     %.3f, \"pool_latency\": %s, \"latency_per_tenant\": {%s}}\n\
+    \        %s\n\
     \      ]\n\
     \    }"
     (json_escape label)
     (Domain.recommended_domain_count ())
-    spec.requests spec.tenants spec.rate_rps spec.seed (1e3 *. spec.slo_s)
+    r.mix.requests r.mix.tenants r.mix.seed (1e3 *. r.mix.slo_s)
     (match chaos_seed with None -> "null" | Some n -> string_of_int n)
-    retries r.offered r.admitted r.rejected_full r.rejected_shed r.completed
-    r.failed r.cancelled r.retried r.restarts r.lost r.duplicated
-    r.mismatched r.met r.missed r.p50_ms r.p95_ms r.p99_ms r.mean_ms
-    r.goodput_rps r.throughput_rps r.reject_rate r.elapsed_s
-    (Obs.Hist.summary_json r.pool_latency)
-    latency_per_tenant
+    retries pacing
+    (Serve.Load.report_json r)
 
-(* both the in-process serve rows and the loopback net rows land in the
-   same accumulating trajectory file *)
-let write_serve_entry ~(path : string) ~(append : bool) (entry : string) : unit
-    =
-  let prior = if append then prior_runs path else None in
-  let entries =
-    match prior with None -> entry | Some old -> old ^ ",\n" ^ entry
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"suite\": \"serve_bench\",\n\
-    \  \"trajectory\": [\n\
-    \    %s\n\
-    \  ]\n\
-     }\n"
-    (String.trim entries);
-  close_out oc;
-  Printf.printf "wrote %s%s\n%!" path
-    (if prior <> None then " (appended to prior trajectory)" else "")
+(* the exactly-once gate: a lost, duplicated or corrupted request, or a
+   run that offered work and completed none, is a correctness failure
+   regardless of the latency numbers *)
+let audit_gate ~(what : string) (r : Serve.Load.report) : unit =
+  if not (Serve.Load.audit_ok r) then begin
+    Printf.eprintf
+      "FAIL: %s audit (lost %d, duplicated %d, mismatched %d, completed \
+       %d)\n\
+       %!"
+      what r.lost r.duplicated r.mismatched r.completed;
+    exit 1
+  end
 
-let write_serve_json ~(path : string) ~(label : string) ~(append : bool)
-    ~(chaos_seed : int option) ~(retries : int) (r : Serve.Load.report) : unit
-    =
-  write_serve_entry ~path ~append (serve_run_json ~label ~chaos_seed ~retries r)
+let chaos_note = function
+  | None -> ""
+  | Some n -> Printf.sprintf ", chaos seed %d" n
 
-let run_serve_bench ~(requests : int) ~(tenants : int) ~(rate : float)
-    ~(seed : int) ~(domains : int) ~(cap : int) ~(slo_ms : float)
-    ~(chaos_seed : int option) ~(retries : int) ~(json : string option)
-    ~(append : bool) ~(label : string) : unit =
+let serve_pool_config ~(domains : int) ~(cap : int) ~(slo_s : float)
+    ~(chaos_seed : int option) ~(retries : int) : Serve.Pool.config =
+  {
+    Serve.Pool.default_config with
+    runtime =
+      {
+        Par.Runtime.default_config with
+        domains;
+        heart_us = 30.;
+        source = `Polling;
+        (* timing-only faults unless retries are on: the audit gate
+           must stay meaningful (an injected raise without a retry
+           budget is a guaranteed failure, not a robustness
+           measurement) *)
+        chaos =
+          Option.map
+            (fun cs ->
+              Par.Chaos.random_plan ~raises:(retries > 0) ~seed:cs ~domains ())
+            chaos_seed;
+      };
+    sched = { Serve.Sched.default_config with cap };
+    default_slo_s = slo_s;
+    retries;
+  }
+
+let run_serve_bench ~(mix : Serve.Load.mix) ~(rate : float) ~(domains : int)
+    ~(cap : int) ~(chaos_seed : int option) ~(retries : int)
+    ~(json : string option) ~(append : bool) ~(label : string) : unit =
   Printf.printf
     "=== serve bench: %d requests, %d tenants, %.0f req/s offered, %d \
      domain(s), cap %d, SLO %.1f ms, seed %d%s, retries %d ===\n\
      %!"
-    requests tenants rate domains cap slo_ms seed
-    (match chaos_seed with
-    | None -> ""
-    | Some n -> Printf.sprintf ", chaos seed %d" n)
-    retries;
-  let chaos =
-    (* timing-only faults: the bench's audit gate must stay meaningful
-       (an injected raise without a retry budget is a guaranteed
-       failure, not a robustness measurement) *)
-    Option.map
-      (fun cs -> Par.Chaos.random_plan ~raises:(retries > 0) ~seed:cs ~domains ())
-      chaos_seed
+    mix.requests mix.tenants rate domains cap (1e3 *. mix.slo_s) mix.seed
+    (chaos_note chaos_seed) retries;
+  let pool =
+    Serve.Pool.create
+      ~config:
+        (serve_pool_config ~domains ~cap ~slo_s:mix.slo_s ~chaos_seed ~retries)
+      ()
   in
-  let config =
-    {
-      Serve.Pool.default_config with
-      runtime =
-        {
-          Par.Runtime.default_config with
-          domains;
-          heart_us = 30.;
-          source = `Polling;
-          chaos;
-        };
-      sched = { Serve.Sched.default_config with cap };
-      default_slo_s = slo_ms /. 1e3;
-      retries;
-    }
-  in
-  let spec =
-    {
-      Serve.Load.default_spec with
-      requests;
-      tenants;
-      rate_rps = rate;
-      seed;
-      slo_s = slo_ms /. 1e3;
-    }
-  in
-  let pool = Serve.Pool.create ~config () in
-  let report = Serve.Load.run pool spec in
+  let report = Serve.Load.run ~rate_rps:rate pool mix in
   ignore (Serve.Pool.close pool);
   Format.printf "%a@." Serve.Load.pp_report report;
   (match json with
   | None -> ()
-  | Some path -> write_serve_json ~path ~label ~append ~chaos_seed ~retries report);
-  (* the exactly-once gate: a lost, duplicated or corrupted request is
-     a correctness failure regardless of the latency numbers *)
-  if report.lost > 0 || report.duplicated > 0 || report.mismatched > 0 then begin
-    Printf.eprintf
-      "FAIL: audit (lost %d, duplicated %d, mismatched %d)\n%!" report.lost
-      report.duplicated report.mismatched;
-    exit 1
-  end
+  | Some path ->
+      write_trajectory ~suite:"serve_bench" ~path ~append
+        (serve_row_json ~label ~chaos_seed ~retries
+           ~pacing:(Printf.sprintf "\"rate_rps\": %.0f" rate)
+           report));
+  audit_gate ~what:"serve" report
 
 (* ------------------------------------------------------------------ *)
 (* The network serving fabric: the same audit-gated load, but over a
@@ -688,47 +638,10 @@ let run_serve_bench ~(requests : int) ~(tenants : int) ~(rate : float)
    process, so a single run yields the FIFO-vs-size-aware head-of-line
    comparison the trajectory tracks. *)
 
-let net_run_json ~(label : string) ~(policy : string) ~(shards : int)
-    ~(batch_max : int) ~(batch_us : float) ~(chaos_seed : int option)
-    ~(retries : int) (r : Net.Netload.report) : string =
-  let spec = r.spec in
-  Printf.sprintf
-    "    {\n\
-    \      \"label\": \"%s\",\n\
-    \      \"host_cores\": %d,\n\
-    \      \"requests\": %d,\n\
-    \      \"tenants\": %d,\n\
-    \      \"seed\": %d,\n\
-    \      \"slo_ms\": %.3f,\n\
-    \      \"chaos_seed\": %s,\n\
-    \      \"retry_budget\": %d,\n\
-    \      \"net\": {\"policy\": \"%s\", \"shards\": %d, \"conns\": %d, \
-     \"window\": %d, \"batch_max\": %d, \"batch_us\": %.0f},\n\
-    \      \"results\": [\n\
-    \        {\"submitted\": %d, \"completed\": %d, \"met\": %d, \"missed\": \
-     %d, \"rejected\": %d, \"cancelled\": %d, \"failed\": %d, \"closed\": \
-     %d, \"lost\": %d, \"duplicated\": %d, \"mismatched\": %d, \
-     \"throughput_rps\": %.1f, \"p50_ms\": %.4f, \"p95_ms\": %.4f, \
-     \"p99_ms\": %.4f, \"small_p95_ms\": %.4f, \"small_p99_ms\": %.4f, \
-     \"large_p95_ms\": %.4f, \"elapsed_s\": %.3f}\n\
-    \      ]\n\
-    \    }"
-    (json_escape label)
-    (Domain.recommended_domain_count ())
-    spec.requests spec.tenants spec.seed (1e3 *. spec.slo_s)
-    (match chaos_seed with None -> "null" | Some n -> string_of_int n)
-    retries (json_escape policy) shards spec.conns spec.window batch_max
-    batch_us r.submitted r.completed r.met r.missed r.rejected r.cancelled
-    r.failed r.closed r.lost r.duplicated r.mismatched r.throughput_rps
-    r.all.p50_ms r.all.p95_ms r.all.p99_ms r.small.p95_ms r.small.p99_ms
-    r.large.p95_ms r.elapsed_s
-
-let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
-    ~(domains : int) ~(cap : int) ~(slo_ms : float)
-    ~(chaos_seed : int option) ~(retries : int) ~(shards : int)
-    ~(conns : int) ~(window : int) ~(batch_max : int) ~(batch_us : float)
-    ~(small_max : int) ~(json : string option) ~(append : bool)
-    ~(label : string) : unit =
+let run_net_bench ~(mix : Serve.Load.mix) ~(domains : int) ~(cap : int)
+    ~(chaos_seed : int option) ~(retries : int) ~(shards : int) ~(conns : int)
+    ~(window : int) ~(batch_max : int) ~(batch_us : float)
+    ~(json : string option) ~(append : bool) ~(label : string) : unit =
   let legs =
     (* the FIFO baseline is one pool with no routing decision at all;
        the policy legs split the same domain budget across [shards] *)
@@ -736,29 +649,16 @@ let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
       ("fifo", 1, Net.Router.Jsq);
       ("hash", shards, Net.Router.Tenant_hash);
       ("jsq", shards, Net.Router.Jsq);
-      ("size", shards, Net.Router.Size_aware { small_max });
+      ("size", shards, Net.Router.Size_aware { small_max = mix.small_max });
     ]
   in
-  let chaos () =
-    Option.map
-      (fun cs ->
-        Par.Chaos.random_plan ~raises:(retries > 0) ~seed:cs ~domains ())
-      chaos_seed
-  in
-  let spec =
+  let mix =
     {
-      Net.Netload.default_spec with
-      requests;
-      conns;
-      tenants;
-      seed;
-      slo_s = slo_ms /. 1e3;
+      mix with
       tight_frac = 0.;
       (* a heavy large class so the single-pool baseline actually pays a
          head-of-line price that the size-aware split can remove *)
       sizes = [ (256, 0.85); (8192, 0.10); (262144, 0.05) ];
-      small_max;
-      window;
     }
   in
   let results =
@@ -769,27 +669,9 @@ let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
            shard(s) x %d domain(s), batch <=%d @ %.0f us, cap %d, SLO %.1f \
            ms%s ===\n\
            %!"
-          name requests conns window shards domains batch_max batch_us cap
-          slo_ms
-          (match chaos_seed with
-          | None -> ""
-          | Some n -> Printf.sprintf ", chaos seed %d" n);
-        let pool_cfg =
-          {
-            Serve.Pool.default_config with
-            runtime =
-              {
-                Par.Runtime.default_config with
-                domains;
-                heart_us = 30.;
-                source = `Polling;
-                chaos = chaos ();
-              };
-            sched = { Serve.Sched.default_config with cap };
-            default_slo_s = slo_ms /. 1e3;
-            retries;
-          }
-        in
+          name mix.requests conns window shards domains batch_max batch_us cap
+          (1e3 *. mix.slo_s)
+          (chaos_note chaos_seed);
         let srv =
           Net.Server.create
             ~config:
@@ -799,19 +681,23 @@ let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
                   {
                     Net.Shard.default_config with
                     shards;
-                    pool = pool_cfg;
+                    pool =
+                      serve_pool_config ~domains ~cap ~slo_s:mix.slo_s
+                        ~chaos_seed ~retries;
                     policy;
                     batch_max;
                     batch_delay_us = batch_us;
-                    batch_size_max = small_max;
+                    batch_size_max = mix.small_max;
                   };
               }
             (Net.Server.Tcp { host = "127.0.0.1"; port = 0 })
             ()
         in
-        let r = Net.Netload.run (Net.Server.bound_addr srv) spec in
+        let r =
+          Net.Netload.run ~conns ~window (Net.Server.bound_addr srv) mix
+        in
         let st = Net.Server.stop srv in
-        Format.printf "%a@." Net.Netload.pp_report r;
+        Format.printf "%a@." Serve.Load.pp_report r;
         Printf.printf "batched members: %d of %d routed\n%!"
           st.shard.batched_members st.shard.submitted;
         (name, shards, r))
@@ -822,11 +708,16 @@ let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
   | Some path ->
       List.iteri
         (fun i (name, shards, r) ->
-          write_serve_entry ~path
+          write_trajectory ~suite:"serve_bench" ~path
             ~append:(append || i > 0)
-            (net_run_json
+            (serve_row_json
                ~label:(Printf.sprintf "%s-net-%s" label name)
-               ~policy:name ~shards ~batch_max ~batch_us ~chaos_seed ~retries
+               ~chaos_seed ~retries
+               ~pacing:
+                 (Printf.sprintf
+                    "\"net\": {\"policy\": \"%s\", \"shards\": %d, \"conns\": \
+                     %d, \"window\": %d, \"batch_max\": %d, \"batch_us\": %.0f}"
+                    (json_escape name) shards conns window batch_max batch_us)
                r))
         results);
   (* the head-of-line contrast the size-aware policy exists for *)
@@ -844,15 +735,7 @@ let run_net_bench ~(requests : int) ~(tenants : int) ~(seed : int)
   | _ -> ());
   (* the audit gate covers every leg *)
   List.iter
-    (fun (name, _, (r : Net.Netload.report)) ->
-      if not (Net.Netload.audit_ok r) then begin
-        Printf.eprintf
-          "FAIL: net audit [%s] (lost %d, duplicated %d, mismatched %d, \
-           completed %d)\n\
-           %!"
-          name r.lost r.duplicated r.mismatched r.completed;
-        exit 1
-      end)
+    (fun (name, _, r) -> audit_gate ~what:(Printf.sprintf "net [%s]" name) r)
     results
 
 let parse_int_list (what : string) (s : string) : int list =
@@ -1046,16 +929,25 @@ let () =
       | None -> Printf.sprintf "run-%.0f" (Unix.time ())
     in
     let domains = match !domains with d :: _ -> d | [] -> 1 in
+    let mix =
+      {
+        Serve.Load.default_mix with
+        requests = !requests;
+        tenants = !tenants;
+        seed = !seed;
+        slo_s = !slo_ms /. 1e3;
+        small_max = !small_max;
+      }
+    in
     if !net then
-      run_net_bench ~requests:!requests ~tenants:!tenants ~seed:!seed ~domains
-        ~cap:!cap ~slo_ms:!slo_ms ~chaos_seed:!chaos_seed ~retries:!retries
-        ~shards:!shards ~conns:!conns ~window:!window ~batch_max:!batch_max
-        ~batch_us:!batch_us ~small_max:!small_max ~json:!json ~append:!append
+      run_net_bench ~mix ~domains ~cap:!cap ~chaos_seed:!chaos_seed
+        ~retries:!retries ~shards:!shards ~conns:!conns ~window:!window
+        ~batch_max:!batch_max ~batch_us:!batch_us ~json:!json ~append:!append
         ~label
     else
-      run_serve_bench ~requests:!requests ~tenants:!tenants ~rate:!rate
-        ~seed:!seed ~domains ~cap:!cap ~slo_ms:!slo_ms ~chaos_seed:!chaos_seed
-        ~retries:!retries ~json:!json ~append:!append ~label
+      run_serve_bench ~mix ~rate:!rate ~domains ~cap:!cap
+        ~chaos_seed:!chaos_seed ~retries:!retries ~json:!json ~append:!append
+        ~label
   end
   else if !par_bench then begin
     let label =

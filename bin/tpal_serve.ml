@@ -56,30 +56,17 @@ let pool_config ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms ~lease_s
     retries;
   }
 
-let run_load pool ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac =
-  let spec =
-    {
-      Serve.Load.default_spec with
-      requests;
-      tenants;
-      rate_rps = rate;
-      seed;
-      slo_s = slo_ms /. 1e3;
-      tight_frac;
-    }
-  in
-  let report =
-    Serve.Load.run ~interrupted:(fun () -> Atomic.get stop_requested) pool spec
-  in
-  Fmt.pr "%a@." Serve.Load.pp_report report;
-  if report.lost > 0 || report.duplicated > 0 || report.mismatched > 0 then begin
+(* the exactly-once audit is the exit code of both load modes *)
+let audit_exit (r : Serve.Load.report) : int =
+  Fmt.pr "%a@." Serve.Load.pp_report r;
+  if Serve.Load.audit_ok r then 0
+  else begin
     Fmt.epr
-      "tpal_serve: audit FAILED (lost %d, duplicated %d, mismatched %d)@."
-      report.lost report.duplicated report.mismatched;
+      "tpal_serve: audit FAILED (lost %d, duplicated %d, mismatched %d, \
+       completed %d)@."
+      r.lost r.duplicated r.mismatched r.completed;
     1
   end
-  else 0
-
 
 let run_kernel pool ~kernel ~scale =
   match Workloads.Real_bench.find kernel with
@@ -267,36 +254,12 @@ let run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
 
 (* --connect: the load-generating client; the exactly-once audit is
    the exit code. *)
-let run_client ~connect ~requests ~conns ~tenants ~seed ~slo_ms ~tight_frac
-    ~window ~small_max =
+let run_client ~connect ~conns ~window mix =
   match Net.Server.addr_of_string connect with
   | None ->
       Fmt.epr "tpal_serve: bad --connect address %S@." connect;
       2
-  | Some addr ->
-      let spec =
-        {
-          Net.Netload.default_spec with
-          requests;
-          conns;
-          tenants;
-          seed;
-          slo_s = slo_ms /. 1e3;
-          tight_frac;
-          small_max;
-          window;
-        }
-      in
-      let r = Net.Netload.run addr spec in
-      Fmt.pr "%a@." Net.Netload.pp_report r;
-      if Net.Netload.audit_ok r then 0
-      else begin
-        Fmt.epr
-          "tpal_serve: audit FAILED (lost %d, duplicated %d, mismatched %d, \
-           completed %d)@."
-          r.lost r.duplicated r.mismatched r.completed;
-        1
-      end
+  | Some addr -> audit_exit (Net.Netload.run ~conns ~window addr mix)
 
 let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
     ~cap ~quantum ~panic_ms ~lease_s ~chaos_seed ~retries ~kernel ~scale ~tpal
@@ -313,14 +276,24 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
   (match chaos with
   | Some plan -> Fmt.pr "chaos: %a@." Par.Chaos.pp_plan plan
   | None -> ());
+  let mix (base : Serve.Load.mix) =
+    {
+      base with
+      requests;
+      tenants;
+      seed;
+      slo_s = slo_ms /. 1e3;
+      tight_frac;
+      small_max;
+    }
+  in
   match (listen, connect) with
   | Some listen, _ ->
       run_server ~listen ~domains ~heart_us ~cap ~quantum ~panic_ms ~slo_ms
         ~lease_s ~tracer ~chaos ~retries ~shards ~policy ~batch_us ~batch_max
         ~small_max ~metrics ~trace
   | None, Some connect ->
-      run_client ~connect ~requests ~conns ~tenants ~seed ~slo_ms ~tight_frac
-        ~window ~small_max
+      run_client ~connect ~conns ~window (mix Net.Netload.default_mix)
   | None, None ->
   install_signal_handlers ();
   let pool =
@@ -335,7 +308,10 @@ let run ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac ~domains ~heart_us
     | Some k, _ -> run_kernel pool ~kernel:k ~scale
     | None, Some path -> run_tpal pool ~path ~seeds
     | None, None ->
-        run_load pool ~requests ~tenants ~rate ~seed ~slo_ms ~tight_frac
+        audit_exit
+          (Serve.Load.run ~rate_rps:rate
+             ~interrupted:(fun () -> Atomic.get stop_requested)
+             pool (mix Serve.Load.default_mix))
   in
   let st = Serve.Pool.close pool in
   Fmt.pr

@@ -1,7 +1,8 @@
-(** Seeded load generation over the wire, and the end-to-end
-    exactly-once audit — the network twin of {!Serve.Load}, measured
-    where a caller actually sits: client-side round-trip time over a
-    real socket, not pool-side sojourn.
+(** Seeded load over the wire — the network driver of {!Serve.Load},
+    measured where a caller actually sits: client-side round-trip time
+    over a real socket, not pool-side sojourn.  The request mix, the
+    per-request draw, the exactly-once audit and the report are
+    {!Serve.Load}'s; only the submission loop lives here.
 
     Submission is {e windowed closed-loop}: each connection keeps at
     most [window] requests in flight and submits the next one as soon
@@ -16,241 +17,102 @@
     function of its size, so the client verifies each [Done] response
     against {!Serve.Load.expected_checksum} computed locally — a
     mismatch means a torn parallel write, a mis-routed response, or a
-    corrupt frame.  The audit counts {b lost} (submitted, no response
-    after the drain), {b duplicated} (two responses for one ticket),
-    and {b mismatched} (wrong checksum) — all must be zero. *)
+    corrupt frame.  A ticket with no response after the drain is
+    lost; two responses for one ticket are a duplicate. *)
 
-type spec = {
-  requests : int;  (** total across all connections *)
-  conns : int;
-  tenants : int;
-  seed : int;
-  slo_s : float;
-  tight_frac : float;
-  sizes : (int * float) list;  (** (synth kernel n, weight) mix *)
-  small_max : int;
-      (** DRR-size threshold separating the small class in the report
-          (match the router's [Size_aware] threshold to see the
-          head-of-line effect) *)
-  window : int;  (** max in-flight per connection *)
-  drain_timeout_s : float;
-}
-
-let default_spec =
+let default_mix =
   {
-    requests = 100_000;
-    conns = 2;
-    tenants = 8;
-    seed = 0x5E12E;
+    Serve.Load.default_mix with
     slo_s = 0.5;
     tight_frac = 0.05;
     sizes = [ (256, 0.80); (4096, 0.15); (32768, 0.05) ];
-    small_max = 4;
-    window = 64;
-    drain_timeout_s = 120.;
   }
 
-type class_lat = { count : int; p50_ms : float; p95_ms : float; p99_ms : float }
-
-type report = {
-  spec : spec;
-  elapsed_s : float;
-  submitted : int;
-  completed : int;
-  met : int;
-  missed : int;
-  rejected : int;  (** all typed rejections (full / shed / draining) *)
-  cancelled : int;
-  failed : int;
-  closed : int;
-  lost : int;
-  duplicated : int;
-  mismatched : int;
-  throughput_rps : float;  (** completed / elapsed wall clock *)
-  all : class_lat;  (** client-side RTT *)
-  small : class_lat;  (** requests with DRR size <= [small_max] *)
-  large : class_lat;
-}
-
-let percentile (sorted : float array) (p : float) : float =
-  match Array.length sorted with
-  | 0 -> nan
-  | n ->
-      let idx = int_of_float (p *. float_of_int (n - 1)) in
-      sorted.(max 0 (min (n - 1) idx))
-
-let class_of (samples : float list) : class_lat =
-  let a = Array.of_list samples in
-  Array.sort compare a;
-  {
-    count = Array.length a;
-    p50_ms = 1e3 *. percentile a 0.50;
-    p95_ms = 1e3 *. percentile a 0.95;
-    p99_ms = 1e3 *. percentile a 0.99;
-  }
-
-let pick_weighted (rng : Sim.Prng.t) (weights : float array) : int =
-  let total = Array.fold_left ( +. ) 0. weights in
-  let x = Sim.Prng.float_range rng total in
-  let acc = ref 0. and chosen = ref (Array.length weights - 1) in
-  (try
-     Array.iteri
-       (fun i w ->
-         acc := !acc +. w;
-         if x < !acc then begin
-           chosen := i;
-           raise Exit
-         end)
-       weights
-   with Exit -> ());
-  !chosen
+type sent = { ticket : int; req : Serve.Load.request; at : float }
 
 (* One connection's share of the run: submit [count] requests with a
    [window]-bounded closed loop, then return the per-request records
    for the audit. *)
-type rec_out = {
-  ticket : int;
-  size_idx : int;
-  drr_size : int;
-  sent : float;
-}
-
-let drive_conn (spec : spec) (addr : Server.addr) ~(conn_idx : int)
-    ~(count : int) : Client.t * rec_out array =
-  let rng = Sim.Prng.create ~seed:(spec.seed + (conn_idx * 0x9E37)) in
-  let sizes = Array.of_list (List.map fst spec.sizes) in
-  let size_weights = Array.of_list (List.map snd spec.sizes) in
-  let tenant_weights =
-    Array.init (max 1 spec.tenants) (fun k -> 1. /. float_of_int (k + 1))
+let drive_conn (mix : Serve.Load.mix) (addr : Server.addr) ~(conn : int)
+    ~(count : int) ~(window : int) : Client.t * sent array =
+  let next = Serve.Load.draw mix ~conn in
+  let c = Client.connect ~client:(Printf.sprintf "load-%d" conn) addr in
+  let sent =
+    Array.init count (fun i ->
+        Client.wait_inflight_below c ~submitted:i ~window;
+        let (req : Serve.Load.request) = next () in
+        let at = Mclock.now_s () in
+        let ticket =
+          Client.submit c ~tenant:req.tenant
+            ~deadline_us:(int_of_float (1e6 *. req.deadline_s))
+            ~size:req.drr_size (Wire.Synth { n = req.n })
+        in
+        { ticket; req; at })
   in
-  let base = sizes.(0) in
-  let c = Client.connect ~client:(Printf.sprintf "load-%d" conn_idx) addr in
-  let recs = Array.make count { ticket = -1; size_idx = 0; drr_size = 1; sent = 0. } in
-  for i = 0 to count - 1 do
-    Client.wait_inflight_below c ~submitted:i ~window:spec.window;
-    let tenant = Printf.sprintf "t%d" (pick_weighted rng tenant_weights) in
-    let si = pick_weighted rng size_weights in
-    let n = sizes.(si) in
-    let drr_size = max 1 (n / base) in
-    let tight = Sim.Prng.float rng < spec.tight_frac in
-    let deadline_us =
-      int_of_float (1e6 *. (if tight then spec.slo_s /. 10. else spec.slo_s))
-    in
-    let sent = Mclock.now_s () in
-    let ticket =
-      Client.submit c ~tenant ~deadline_us ~size:drr_size (Wire.Synth { n })
-    in
-    recs.(i) <- { ticket; size_idx = si; drr_size; sent }
-  done;
-  (c, recs)
+  (c, sent)
 
-(** [run addr spec] drives [spec] against a live server at [addr] and
-    audits the outcome end to end. *)
-let run (addr : Server.addr) (spec : spec) : report =
-  if spec.requests < 0 then invalid_arg "Netload.run: negative request count";
-  if spec.conns < 1 then invalid_arg "Netload.run: need at least one connection";
-  let sizes = Array.of_list (List.map fst spec.sizes) in
-  let expected = Array.map Serve.Load.expected_checksum sizes in
-  let per_conn = Array.make spec.conns (spec.requests / spec.conns) in
-  (* distribute the remainder *)
-  for i = 0 to (spec.requests mod spec.conns) - 1 do
-    per_conn.(i) <- per_conn.(i) + 1
-  done;
+let outcome_of (c : Client.t) (s : sent) : Serve.Load.outcome =
+  match Client.try_response c s.ticket with
+  | None -> Lost
+  | Some resp -> (
+      match resp.status with
+      | Wire.Done { met } ->
+          Done
+            {
+              on_time = met;
+              correct = resp.value = s.req.expected;
+              latency_s = resp.at -. s.at;
+              drr_size = s.req.drr_size;
+            }
+      | Wire.Rejected_full -> Rejected `Full
+      | Wire.Rejected_shed -> Rejected `Shed
+      | Wire.Rejected_draining -> Rejected `Draining
+      | Wire.Cancelled _ -> Cancelled
+      | Wire.Failed -> Failed
+      | Wire.Closed -> Closed)
+
+(** [run ?conns ?window ?timeout_s addr mix] drives [mix] against a
+    live server at [addr] over [conns] connections (connection [i]
+    draws stream [i] of {!Serve.Load.draw}), each keeping at most
+    [window] requests in flight, and audits the outcome end to end.
+    [timeout_s] bounds each connection's wait for its last responses.
+    A connection that fails outright counts its whole share lost. *)
+let run ?(conns = 2) ?(window = 64) ?(timeout_s = 120.) (addr : Server.addr)
+    (mix : Serve.Load.mix) : Serve.Load.report =
+  if mix.requests < 0 then invalid_arg "Netload.run: negative request count";
+  if conns < 1 then invalid_arg "Netload.run: need at least one connection";
+  (* the remainder goes to the first connections *)
+  let count ci =
+    (mix.requests / conns) + if ci < mix.requests mod conns then 1 else 0
+  in
   let t0 = Mclock.now_s () in
-  let results = Array.make spec.conns None in
+  let results = Array.make conns None in
   let threads =
-    Array.init spec.conns (fun ci ->
+    Array.init conns (fun ci ->
         Thread.create
           (fun () ->
-            let c, recs =
-              drive_conn spec addr ~conn_idx:ci ~count:per_conn.(ci)
+            let c, sent =
+              drive_conn mix addr ~conn:ci ~count:(count ci) ~window
             in
-            Client.drain c ~submitted:per_conn.(ci)
-              ~timeout_s:spec.drain_timeout_s;
-            results.(ci) <- Some (c, recs))
+            Client.drain c ~submitted:(count ci) ~timeout_s;
+            results.(ci) <- Some (c, sent))
           ())
   in
   Array.iter Thread.join threads;
   let elapsed_s = Mclock.now_s () -. t0 in
-  (* audit + latency classes *)
-  let submitted = ref 0 in
-  let completed = ref 0 and met = ref 0 and missed = ref 0 in
-  let rejected = ref 0 and cancelled = ref 0 and failed = ref 0 in
-  let closed = ref 0 and lost = ref 0 and mismatched = ref 0 in
   let duplicated = ref 0 in
-  let all_l = ref [] and small_l = ref [] and large_l = ref [] in
-  Array.iter
-    (fun slot ->
-      match slot with
-      | None -> ()
-      | Some (c, recs) ->
-          duplicated := !duplicated + Client.duplicates c;
-          Array.iter
-            (fun (r : rec_out) ->
-              if r.ticket >= 0 then begin
-                incr submitted;
-                match Client.try_response c r.ticket with
-                | None -> incr lost
-                | Some resp -> (
-                    match resp.status with
-                    | Wire.Done { met = m } ->
-                        incr completed;
-                        if m then incr met else incr missed;
-                        if resp.value <> expected.(r.size_idx) then
-                          incr mismatched;
-                        let rtt = resp.at -. r.sent in
-                        all_l := rtt :: !all_l;
-                        if r.drr_size <= spec.small_max then
-                          small_l := rtt :: !small_l
-                        else large_l := rtt :: !large_l
-                    | Wire.Rejected_full | Wire.Rejected_shed
-                    | Wire.Rejected_draining ->
-                        incr rejected
-                    | Wire.Cancelled _ -> incr cancelled
-                    | Wire.Failed -> incr failed
-                    | Wire.Closed -> incr closed)
-              end)
-            recs;
-          Client.bye c;
-          Client.close c)
-    results;
-  {
-    spec;
-    elapsed_s;
-    submitted = !submitted;
-    completed = !completed;
-    met = !met;
-    missed = !missed;
-    rejected = !rejected;
-    cancelled = !cancelled;
-    failed = !failed;
-    closed = !closed;
-    lost = !lost;
-    duplicated = !duplicated;
-    mismatched = !mismatched;
-    throughput_rps =
-      (if elapsed_s > 0. then float_of_int !completed /. elapsed_s else 0.);
-    all = class_of !all_l;
-    small = class_of !small_l;
-    large = class_of !large_l;
-  }
-
-(** The audit holds iff nothing was lost, duplicated, or corrupted,
-    and at least one request actually completed. *)
-let audit_ok (r : report) : bool =
-  r.lost = 0 && r.duplicated = 0 && r.mismatched = 0 && r.completed > 0
-
-let pp_report (ppf : Format.formatter) (r : report) : unit =
-  Format.fprintf ppf
-    "@[<v>submitted %d over %d conns: completed %d (met %d, missed %d), \
-     rejected %d, cancelled %d, failed %d, closed %d@,\
-     audit: lost %d, duplicated %d, mismatched %d@,\
-     throughput %.0f req/s over %.2f s@,\
-     rtt all   n=%d p50 %.2f ms p95 %.2f ms p99 %.2f ms@,\
-     rtt small n=%d p50 %.2f ms p95 %.2f ms p99 %.2f ms@,\
-     rtt large n=%d p50 %.2f ms p95 %.2f ms p99 %.2f ms@]"
-    r.submitted r.spec.conns r.completed r.met r.missed r.rejected r.cancelled
-    r.failed r.closed r.lost r.duplicated r.mismatched r.throughput_rps
-    r.elapsed_s r.all.count r.all.p50_ms r.all.p95_ms r.all.p99_ms
-    r.small.count r.small.p50_ms r.small.p95_ms r.small.p99_ms r.large.count
-    r.large.p50_ms r.large.p95_ms r.large.p99_ms
+  let outcomes =
+    List.concat
+      (List.mapi
+         (fun ci slot ->
+           match slot with
+           | None -> List.init (count ci) (fun _ -> Serve.Load.Lost)
+           | Some (c, sent) ->
+               duplicated := !duplicated + Client.duplicates c;
+               let os = List.map (outcome_of c) (Array.to_list sent) in
+               Client.bye c;
+               Client.close c;
+               os)
+         (Array.to_list results))
+  in
+  Serve.Load.report ~elapsed_s ~duplicated:!duplicated mix outcomes

@@ -23,7 +23,10 @@ type t = {
   idle_ns : int;  (** total nanoseconds workers slept in idle backoff *)
   callback_errors : int;  (** user [on_event] callbacks that raised *)
   faults_injected : int;  (** chaos-schedule faults that actually fired *)
-  cancels : int;  (** cooperative cancellations observed at polls *)
+  cancels : int;
+      (** polls that observed a cancel token — an unwinding computation
+          re-raises at every poll, so this counts polls, not the
+          cancellations a pool delivered *)
   retries : int;  (** failed requests re-admitted by the pool *)
   restarts : int;  (** warm session restarts after a runtime death *)
   stalls : int;  (** watchdog / lease stall detections *)
@@ -79,7 +82,7 @@ let pp ppf (m : t) =
      %.2f/beat)@,joins/resumes      %d/%d@,steals             %d/%d attempts \
      (%.1f%% failed)@,tasks              %d@,max deque depth    %d@,\
      idle sleep         %.3f ms (%.1f%% of worker-time)@,callback errors    \
-     %d@,faults injected    %d@,cancels/retries    %d/%d@,\
+     %d@,faults injected    %d@,cancel polls/retries %d/%d@,\
      restarts/stalls    %d/%d@,traced events      %d (%d dropped)@]"
     m.domains m.elapsed_s m.beats m.promotions m.loop_promotions
     m.branch_promotions (promotions_per_beat m) m.joins m.resumes m.steals

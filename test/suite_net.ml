@@ -446,24 +446,22 @@ let test_server_loopback_audit () =
       ()
   in
   let addr = Net.Server.bound_addr srv in
-  let spec =
+  let mix =
     {
-      Net.Netload.default_spec with
+      Net.Netload.default_mix with
       requests = 600;
-      conns = 2;
-      window = 32;
       sizes = [ (128, 0.8); (8192, 0.2) ];
       slo_s = 30.;
       tight_frac = 0.;
-      drain_timeout_s = 60.;
     }
   in
-  let r = Net.Netload.run addr spec in
+  let r = Net.Netload.run ~conns:2 ~window:32 ~timeout_s:60. addr mix in
   check_int "nothing lost" 0 r.lost;
   check_int "nothing duplicated" 0 r.duplicated;
   check_int "nothing corrupted" 0 r.mismatched;
-  check_int "everything accounted" r.submitted
-    (r.completed + r.rejected + r.cancelled + r.failed + r.closed);
+  check_int "everything accounted" r.offered
+    (r.completed + Serve.Load.rejected r + r.closed + r.cancelled + r.failed
+   + r.lost);
   check "all completed under generous deadlines" true (r.completed = 600);
   let st = Net.Server.stop srv in
   check "server saw the submits" true (st.submits >= 600);

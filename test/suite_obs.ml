@@ -312,7 +312,10 @@ let test_ring_invariants_and_export () =
       true
       (contains json (Printf.sprintf "worker %d" w))
   done;
-  check "export has beat instants" true (contains json "\"beat\"")
+  check "export has beat instants" true (contains json "\"beat\"");
+  (* poll-observed cancels, not the pool's delivered ones *)
+  check "pp labels cancel polls" true
+    (contains (Fmt.str "%a" Obs.Metrics.pp m) "cancel polls/retries")
 
 let test_with_region () =
   let tr = Obs.Trace.create () in

@@ -434,31 +434,28 @@ let test_pool_closed_typed () =
    ordered, and the load report carries both through. *)
 let test_latency_histograms () =
   let pool = Serve.Pool.create ~config:(pool_config ()) () in
-  let spec =
-    {
-      Serve.Load.default_spec with
-      requests = 300;
-      tenants = 3;
-      rate_rps = 0.;
-      (* submit as fast as possible: keep the test quick *)
-    }
-  in
-  let report = Serve.Load.run pool spec in
+  let mix = { Serve.Load.default_mix with requests = 300; tenants = 3 } in
+  (* submit as fast as possible: keep the test quick *)
+  let report = Serve.Load.run ~rate_rps:0. pool mix in
   ignore (Serve.Pool.close pool);
   check_int "audit clean" 0
     (report.lost + report.duplicated + report.mismatched);
-  let lat = report.pool_latency in
+  check_int "everything accounted" report.offered
+    (report.completed + Serve.Load.rejected report + report.closed
+   + report.cancelled + report.failed + report.lost);
+  let ps = Option.get report.pool in
+  let lat = ps.latency in
   check_int "histogram saw every completion" report.completed lat.count;
   check "digest ordered" true
     (lat.p50_ms <= lat.p95_ms && lat.p95_ms <= lat.p99_ms
    && lat.p99_ms <= lat.max_ms);
   check "positive latency" true (lat.p50_ms > 0.);
   check "per-tenant histograms present" true
-    (List.length report.latency_per_tenant > 0);
+    (List.length ps.latency_per_tenant > 0);
   let tenant_total =
     List.fold_left
       (fun acc ((_, s) : string * Obs.Hist.summary) -> acc + s.count)
-      0 report.latency_per_tenant
+      0 ps.latency_per_tenant
   in
   check_int "tenant histograms partition completions" report.completed
     tenant_total;
@@ -466,7 +463,80 @@ let test_latency_histograms () =
     (fun ((_, s) : string * Obs.Hist.summary) ->
       check "tenant digest ordered" true
         (s.p50_ms <= s.p99_ms && s.p99_ms <= s.max_ms))
-    report.latency_per_tenant
+    ps.latency_per_tenant
+
+(* A run on a closed pool: every submit resolves Pool_closed, which the
+   tally counts as closed (not as a rejection), and a run that offered
+   work and completed none fails the audit. *)
+let test_load_closed_pool () =
+  let pool = Serve.Pool.create ~config:(pool_config ()) () in
+  ignore (Serve.Pool.close pool);
+  let r =
+    Serve.Load.run ~rate_rps:0. pool
+      { Serve.Load.default_mix with requests = 20 }
+  in
+  check_int "every request closed" 20 r.closed;
+  check_int "nothing rejected" 0 (Serve.Load.rejected r);
+  check_int "nothing admitted" 0 r.admitted;
+  check "audit fails with no completions" false (Serve.Load.audit_ok r);
+  check "report json valid" true
+    (Suite_stats.json_is_valid (Serve.Load.report_json r))
+
+(* An empty latency class renders as null, never nan. *)
+let test_load_report_json_empty_classes () =
+  let mix = Serve.Load.default_mix in
+  let small =
+    Serve.Load.Done
+      { on_time = true; correct = true; latency_s = 0.002; drr_size = 1 }
+  in
+  let only_small =
+    Serve.Load.report ~elapsed_s:0.1 ~duplicated:0 mix [ small; small; Lost ]
+  in
+  check_int "large class empty" 0 only_small.large.count;
+  let no_completions =
+    Serve.Load.report ~elapsed_s:0. ~duplicated:0 mix
+      [ Rejected `Full; Rejected `Draining; Closed; Cancelled; Failed ]
+  in
+  check_int "no completions" 0 no_completions.completed;
+  List.iter
+    (fun r ->
+      check "report json valid" true
+        (Suite_stats.json_is_valid (Serve.Load.report_json r)))
+    [ only_small; no_completions ]
+
+(* The first draws of each driver's default stream at the default seed:
+   (tenant, size index, tight) as digit, digit, T/. — values recorded
+   from the drivers before they shared [Serve.Load.draw].  The
+   in-process driver draws its arrival gap first. *)
+let test_load_streams_pinned () =
+  let tokens ?rate_rps (mix : Serve.Load.mix) ~conn k =
+    let next = Serve.Load.draw ?rate_rps mix ~conn in
+    String.concat " "
+      (List.init k (fun _ ->
+           let (r : Serve.Load.request) = next () in
+           Printf.sprintf "%s%d%c"
+             (String.sub r.tenant 1 (String.length r.tenant - 1))
+             r.size_idx
+             (if r.deadline_s < mix.slo_s then 'T' else '.')))
+  in
+  Alcotest.(check string)
+    "in-process stream"
+    "11. 00. 00T 60. 12. 10. 00. 00. 00. 70. 10. 31. 00T 70. 10. 11. 10. \
+     61. 00. 21. 10. 51. 00. 01T 10T 41T 30. 21. 11. 40. 11T 10. 10. 70. \
+     00. 00T 11. 00. 20. 40. 01. 00T 41. 41T 10. 01T 20. 41. 21. 01T 00. \
+     00. 21. 00. 30T 00T 20. 00. 20. 00. 00. 00. 00. 40."
+    (tokens ~rate_rps:50_000. Serve.Load.default_mix ~conn:0 64);
+  Alcotest.(check string)
+    "wire stream, connection 0"
+    "00. 00. 10. 00T 01. 60. 71. 10. 30. 00. 01. 00. 12. 00. 00T 30. 70T \
+     01. 10. 10. 20. 30. 10T 61. 00. 30. 30. 10. 21. 20. 20. 01T 00. 01. \
+     40. 30. 00. 60. 50. 40. 10. 00. 01. 10. 32T 10. 00T 00T 00. 10T 10. \
+     20. 70T 00. 60. 00T 71. 01. 30. 10. 10. 00. 00. 41."
+    (tokens Net.Netload.default_mix ~conn:0 64);
+  Alcotest.(check string)
+    "wire stream, connection 1"
+    "10. 30. 00. 40. 10. 10. 10. 10. 10. 70. 01. 30. 00. 00. 70. 21."
+    (tokens Net.Netload.default_mix ~conn:1 16)
 
 let test_concurrent_stress () =
   let n_threads = 4 and per_thread = 100 in
@@ -843,6 +913,12 @@ let suite =
         test_pool_closed_typed;
       Alcotest.test_case "pool: latency histograms and percentiles" `Quick
         test_latency_histograms;
+      Alcotest.test_case "load: closed pool counts closed, fails audit" `Quick
+        test_load_closed_pool;
+      Alcotest.test_case "load: empty latency classes are null in json"
+        `Quick test_load_report_json_empty_classes;
+      Alcotest.test_case "load: request streams pinned" `Quick
+        test_load_streams_pinned;
       Alcotest.test_case "pool: concurrent-submit exactly-once stress" `Quick
         test_concurrent_stress;
       Alcotest.test_case "pool: lease watchdog degradation" `Quick
